@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 namespace sss::obs {
 
@@ -49,6 +50,7 @@ trace::JsonValue RunManifest::to_json() const {
     c["deterministic"] = std::move(det);
     trace::JsonValue timing = trace::JsonValue::object();
     timing["wall_ms"] = cell.wall_ms;
+    timing["start_ms"] = cell.start_ms;
     c["timing"] = std::move(timing);
     cell_array.push_back(std::move(c));
   }
@@ -79,7 +81,12 @@ RunManifest RunManifest::from_json(const trace::JsonValue& json) {
     cell.arena_reserved_bytes =
         as_uint64(det.at("arena_reserved_bytes"), "arena_reserved_bytes");
     cell.sim_duration_s = det.at("sim_duration_s").as_double();
-    cell.wall_ms = c.at("timing").at("wall_ms").as_double();
+    const trace::JsonValue& timing = c.at("timing");
+    cell.wall_ms = timing.at("wall_ms").as_double();
+    // Manifests written before start offsets existed read as 0.
+    if (const trace::JsonValue* start = timing.find("start_ms")) {
+      cell.start_ms = start->as_double();
+    }
     m.cells.push_back(std::move(cell));
   }
   return m;
@@ -144,6 +151,39 @@ std::vector<std::vector<std::string>> cost_report_rows(const RunManifest& manife
                     format_s(cell.sim_duration_s)});
   }
   return rows;
+}
+
+GridUtilization grid_utilization(const RunManifest& manifest) {
+  GridUtilization u;
+  // (time, +1 start / -1 end); an end sorts before a start at the same
+  // instant, so back-to-back cells on one thread never count as two.
+  std::vector<std::pair<double, int>> edges;
+  edges.reserve(manifest.cells.size() * 2);
+  for (const CellMetrics& cell : manifest.cells) {
+    u.busy_ms += cell.wall_ms;
+    u.span_ms = std::max(u.span_ms, cell.start_ms + cell.wall_ms);
+    edges.emplace_back(cell.start_ms, 1);
+    edges.emplace_back(cell.start_ms + cell.wall_ms, -1);
+  }
+  std::sort(edges.begin(), edges.end());
+  int in_flight = 0;
+  for (const auto& [at, delta] : edges) {
+    in_flight += delta;
+    u.threads = std::max(u.threads, static_cast<std::size_t>(in_flight));
+  }
+  if (u.threads > 0 && u.span_ms > 0.0) {
+    u.busy_share = u.busy_ms / (static_cast<double>(u.threads) * u.span_ms);
+  }
+  return u;
+}
+
+std::string busy_share_line(const RunManifest& manifest) {
+  const GridUtilization u = grid_utilization(manifest);
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "busy share %.3f: %.3f ms of cell work on %zu thread%s over a %.3f ms span",
+                u.busy_share, u.busy_ms, u.threads, u.threads == 1 ? "" : "s", u.span_ms);
+  return buf;
 }
 
 }  // namespace sss::obs

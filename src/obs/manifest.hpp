@@ -9,13 +9,16 @@
 //       queue_high_water, arena_reserved_bytes, sim_duration_s.  These are
 //       bit-identical across thread counts, shards and hosts, so tests and
 //       shard merges can compare them exactly;
-//   "timing" — host measurements (wall_ms).  Never compared exactly; this
-//       is the measured per-cell cost that ROADMAP item 2's cost-aware
-//       sharding feeds back into the shard planner.
+//   "timing" — host measurements: wall_ms, and start_ms, the cell's start
+//       offset from the start of the sweep's execute() (where it fell in
+//       the largest-first dispatch).  Never compared exactly; wall_ms is
+//       the measured per-cell cost that cost-aware sharding feeds back into
+//       the shard planner.
 //
 // Cells carry their GLOBAL grid index, so per-shard manifests merge into
 // one table (`scenario_runner --merge merged.json shard*.json`) exactly
-// like sharded CSVs, and `--cost-report` ranks the merged cells by wall_ms.
+// like sharded CSVs, and `--cost-report` ranks the merged cells by wall_ms
+// and reports how busy the sweep threads were (grid_utilization).
 #pragma once
 
 #include <cstdint>
@@ -37,6 +40,7 @@ struct CellMetrics {
   double sim_duration_s = 0.0;
   // timing (host-dependent; excluded from determinism comparisons)
   double wall_ms = 0.0;
+  double start_ms = 0.0;  // offset from the start of execute()
 };
 
 struct RunManifest {
@@ -65,5 +69,22 @@ struct RunManifest {
 [[nodiscard]] std::vector<std::string> cost_report_header();
 [[nodiscard]] std::vector<std::vector<std::string>> cost_report_rows(
     const RunManifest& manifest, std::size_t top_n);
+
+// How busy the sweep threads were: busy_share = busy_ms / (threads x
+// span_ms), where busy_ms = sum of wall_ms, span_ms = the latest cell end
+// (start_ms + wall_ms), and threads = the most cells in flight at once.
+// 1.0 means every thread ran cells from the first dispatch to the last
+// completion.  Start offsets are per execute(), so a merged manifest is
+// read as if its shards had run side by side.
+struct GridUtilization {
+  double busy_ms = 0.0;
+  double span_ms = 0.0;
+  std::size_t threads = 0;
+  double busy_share = 0.0;  // 0 for an empty or zero-span grid
+};
+[[nodiscard]] GridUtilization grid_utilization(const RunManifest& manifest);
+// One line for the cost report, e.g. "busy share 0.934: 4832.125 ms of cell
+// work on 4 threads over a 1293.500 ms span".
+[[nodiscard]] std::string busy_share_line(const RunManifest& manifest);
 
 }  // namespace sss::obs

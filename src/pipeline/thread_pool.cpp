@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <stdexcept>
 
 namespace sss::pipeline {
@@ -33,25 +34,30 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
   if (begin >= end) return;
-  // Chunk the range so each worker gets a contiguous block; a shared atomic
-  // cursor balances uneven task costs.
-  const std::size_t total = end - begin;
-  const std::size_t chunk = std::max<std::size_t>(1, total / (workers_.size() * 4));
-  auto cursor = std::make_shared<std::atomic<std::size_t>>(begin);
-
+  // Every claim takes ONE index from a shared cursor, so indices start in
+  // order and a slow index never holds queued ones behind it on the same
+  // worker.  The callers' indices are coarse (sweep cells of milliseconds
+  // to seconds), so one atomic add per index is free.
+  std::atomic<std::size_t> cursor{begin};
+  const std::size_t workers = std::min(workers_.size(), end - begin);
   std::vector<std::future<void>> futures;
-  futures.reserve(workers_.size());
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    futures.push_back(submit([cursor, end, chunk, &fn] {
-      for (;;) {
-        const std::size_t start = cursor->fetch_add(chunk);
-        if (start >= end) return;
-        const std::size_t stop = std::min(end, start + chunk);
-        for (std::size_t i = start; i < stop; ++i) fn(i);
-      }
+  futures.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    futures.push_back(submit([&cursor, end, &fn] {
+      for (std::size_t i = cursor.fetch_add(1); i < end; i = cursor.fetch_add(1)) fn(i);
     }));
   }
-  for (auto& f : futures) f.get();
+  // Wait for every worker before rethrowing: `fn` and `cursor` must outlive
+  // all of them.
+  std::exception_ptr first_error;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void ThreadPool::shutdown() {

@@ -3,7 +3,8 @@
 // The "remote compute" stage of the pipelines: N workers draining a task
 // queue, mirroring DELERIA's ~100 parallel analysis processes.  Tasks are
 // type-erased callables; submit() returns a future for result plumbing and
-// parallel_for covers the common index-range fan-out.
+// parallel_for covers the index-range fan-out of sweep executors, one index
+// per claim.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +41,9 @@ class ThreadPool {
   }
 
   // Run fn(i) for i in [begin, end) across the pool; blocks until all
-  // complete.  Exceptions propagate (first one wins).
+  // complete.  Each worker claims one index at a time, in ascending order,
+  // so a caller that wants a dispatch order maps i through a permutation.
+  // Exceptions propagate once every worker has stopped (first one wins).
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -13,6 +14,10 @@
 namespace sss::scenario {
 
 namespace {
+
+// Fluid cells cost well under a millisecond; any packet cell outweighs
+// them, so they fill in last.
+constexpr double kFluidCellWork = 1.0;
 
 simnet::ExperimentResult execute_one(const RunPoint& run,
                                      obs::TimelineRecorder* timeline) {
@@ -53,6 +58,26 @@ simnet::ExperimentResult execute_one(const RunPoint& run,
 
 }  // namespace
 
+double estimated_cell_work(const RunPoint& run) {
+  switch (run.substrate) {
+    case Substrate::kFluid:
+      return kFluidCellWork;
+    case Substrate::kPacket:
+      break;
+  }
+  return run.config.estimated_work();
+}
+
+std::vector<std::size_t> dispatch_order(const std::vector<RunPoint>& runs) {
+  std::vector<double> work(runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) work[i] = estimated_cell_work(runs[i]);
+  std::vector<std::size_t> order(runs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return work[a] > work[b]; });
+  return order;
+}
+
 SweepExecutor::SweepExecutor(SweepOptions options) : options_(options) {}
 
 std::vector<std::uint64_t> SweepExecutor::derive_seeds(std::size_t count) const {
@@ -77,28 +102,35 @@ std::vector<simnet::ExperimentResult> SweepExecutor::execute(
     if (runs[i].reseed) runs[i].config.seed = seeds[i];
   }
 
+  const std::vector<std::size_t> order = dispatch_order(runs);
+
   std::vector<simnet::ExperimentResult> results(runs.size());
   wall_ms_.assign(runs.size(), 0.0);
+  start_ms_.assign(runs.size(), 0.0);
   const int threads = effective_threads(runs.size());
   std::atomic<std::size_t> completed{0};
-  auto run_index = [&](std::size_t i) {
+  using Clock = std::chrono::steady_clock;
+  const auto ms_between = [](Clock::time_point from, Clock::time_point to) {
+    return std::chrono::duration<double, std::milli>(to - from).count();
+  };
+  const auto started = Clock::now();
+  auto run_claim = [&](std::size_t claim) {
+    const std::size_t i = order[claim];
     if (on_run_start) on_run_start(i);
     obs::TimelineRecorder* recorder =
         (timeline != nullptr && i == timeline_index) ? timeline : nullptr;
-    const auto t0 = std::chrono::steady_clock::now();
+    const auto t0 = Clock::now();
     results[i] = execute_one(runs[i], recorder);
-    wall_ms_[i] =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-            .count();
+    start_ms_[i] = ms_between(started, t0);
+    wall_ms_[i] = ms_between(t0, Clock::now());
     if (on_progress) on_progress(completed.fetch_add(1) + 1, runs.size());
   };
 
   if (threads == 1 || runs.size() <= 1) {
-    for (std::size_t i = 0; i < runs.size(); ++i) run_index(i);
+    for (std::size_t k = 0; k < runs.size(); ++k) run_claim(k);
   } else {
-    pipeline::ThreadPool pool(static_cast<std::size_t>(threads),
-                              std::max<std::size_t>(runs.size(), 64));
-    pool.parallel_for(0, runs.size(), run_index);
+    pipeline::ThreadPool pool(static_cast<std::size_t>(threads));
+    pool.parallel_for(0, runs.size(), run_claim);
   }
   return results;
 }

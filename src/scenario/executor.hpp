@@ -13,6 +13,15 @@
 //      order never depends on completion order;
 //   3. run_experiment / run_fluid_experiment are pure functions of their
 //      WorkloadConfig.
+//
+// Dispatch order: cells run largest-first.  A grid's wall time is set by
+// its stragglers, so the executor sorts the cells by descending estimated
+// work (estimated_cell_work: WorkloadConfig::estimated_work for packet
+// cells, a token cost for fluid cells, ties broken by run index) and each
+// worker claims one cell at a time from that order.  The heaviest cells
+// start first and the light ones fill in around them.  Order never reaches
+// the results: seeds, results, wall times, start offsets, on_run_start and
+// the timeline cell are all keyed by run index.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +43,15 @@ struct SweepOptions {
   std::uint64_t base_seed = 42;
 };
 
+// Dispatch priority of one cell: WorkloadConfig::estimated_work() for
+// packet cells (hop-packets), a token cost for fluid cells (which take
+// well under a millisecond), so fluid cells sort last.
+[[nodiscard]] double estimated_cell_work(const RunPoint& run);
+
+// The order execute() dispatches `runs` in: run indices by descending
+// estimated_cell_work, ties broken by ascending index.  Deterministic.
+[[nodiscard]] std::vector<std::size_t> dispatch_order(const std::vector<RunPoint>& runs);
+
 class SweepExecutor {
  public:
   explicit SweepExecutor(SweepOptions options = {});
@@ -44,7 +62,8 @@ class SweepExecutor {
   [[nodiscard]] std::vector<std::uint64_t> derive_seeds(std::size_t count) const;
 
   // Execute every run and return results in run order.  Reseeds each
-  // RunPoint whose `reseed` flag is set.  Blocks until all complete; the
+  // RunPoint whose `reseed` flag is set.  Runs are dispatched in
+  // dispatch_order(runs), one per claim.  Blocks until all complete; the
   // first exception from any run propagates.
   [[nodiscard]] std::vector<simnet::ExperimentResult> execute(
       std::vector<RunPoint> runs) const;
@@ -77,10 +96,16 @@ class SweepExecutor {
   [[nodiscard]] const std::vector<double>& last_cell_wall_ms() const {
     return wall_ms_;
   }
+  // Start offset of each run from the start of the latest execute(), in
+  // ms, indexed like its results — where the run fell in the dispatch.
+  [[nodiscard]] const std::vector<double>& last_cell_start_ms() const {
+    return start_ms_;
+  }
 
  private:
   SweepOptions options_;
   mutable std::vector<double> wall_ms_;
+  mutable std::vector<double> start_ms_;
 };
 
 }  // namespace sss::scenario

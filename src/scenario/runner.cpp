@@ -118,12 +118,13 @@ void truncate_file_for_fault(const std::string& path) {
 }
 
 // Per-cell metrics for the manifest: deterministic fields from the results,
-// wall times from the executor, GLOBAL indices via `offset` (shard begin).
+// wall times and start offsets from the executor, GLOBAL indices via
+// `offset` (shard begin).
 void fill_manifest(obs::RunManifest& manifest, const ScenarioSpec& spec,
                    const ScenarioContext& context, std::size_t total_cells,
                    std::size_t offset, const std::vector<RunPoint>& runs,
                    const std::vector<simnet::ExperimentResult>& results,
-                   const std::vector<double>& wall_ms) {
+                   const SweepExecutor& executor) {
   manifest = obs::RunManifest{};
   manifest.scenario = spec.name;
   manifest.scale = context.scale;
@@ -139,7 +140,8 @@ void fill_manifest(obs::RunManifest& manifest, const ScenarioSpec& spec,
     cell.queue_high_water = results[i].queue_high_water;
     cell.arena_reserved_bytes = results[i].arena_reserved_bytes;
     cell.sim_duration_s = results[i].sim_duration_s;
-    cell.wall_ms = i < wall_ms.size() ? wall_ms[i] : 0.0;
+    cell.wall_ms = executor.last_cell_wall_ms()[i];
+    cell.start_ms = executor.last_cell_start_ms()[i];
   }
 }
 
@@ -190,7 +192,7 @@ ScenarioOutput execute_scenario(const ScenarioSpec& spec, const ScenarioContext&
   const std::vector<simnet::ExperimentResult> results = executor.execute(runs);
   if (manifest != nullptr) {
     fill_manifest(*manifest, spec, context, runs.size(), 0, runs, results,
-                  executor.last_cell_wall_ms());
+                  executor);
   }
 
   ScenarioOutput output;
@@ -251,7 +253,7 @@ ScenarioOutput execute_scenario_shard(const ScenarioSpec& spec,
   const std::vector<simnet::ExperimentResult> results = executor.execute(slice);
   if (manifest != nullptr) {
     fill_manifest(*manifest, spec, context, runs.size(), begin, slice, results,
-                  executor.last_cell_wall_ms());
+                  executor);
   }
   ScenarioOutput output;
   render_plan_output(spec.plan->output, slice, results, output);
@@ -401,7 +403,8 @@ int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options) {
   if (options.cost_report) {
     trace::ConsoleTable table(obs::cost_report_header());
     for (const auto& row : obs::cost_report_rows(manifest, 10)) table.add_row(row);
-    std::printf("cost report (slowest cells first):\n%s\n", table.render().c_str());
+    std::printf("cost report (slowest cells first):\n%s\n%s\n", table.render().c_str(),
+                obs::busy_share_line(manifest).c_str());
   }
   if (options.phase_timers) {
     const std::string report = obs::phase_report();
@@ -645,7 +648,7 @@ int standalone_cost_report(const std::string& metrics_path) {
                 manifest.total_cells);
     trace::ConsoleTable table(obs::cost_report_header());
     for (const auto& row : obs::cost_report_rows(manifest, 0)) table.add_row(row);
-    std::printf("%s\n", table.render().c_str());
+    std::printf("%s\n%s\n", table.render().c_str(), obs::busy_share_line(manifest).c_str());
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "--cost-report %s: %s\n", metrics_path.c_str(), e.what());

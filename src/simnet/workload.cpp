@@ -73,6 +73,45 @@ double WorkloadConfig::offered_load() const {
   return bytes_per_second / bottleneck_capacity().bps();
 }
 
+double WorkloadConfig::estimated_work() const {
+  const double mss = static_cast<double>(std::max<std::uint32_t>(tcp.mss_bytes, 1));
+  const double seconds = duration.seconds();
+  // One data packet and one ACK per packet per hop.
+  const auto hop_packets = [&](double bytes, std::size_t hops) {
+    return std::ceil(bytes / mss) * static_cast<double>(hops) * 2.0;
+  };
+  const std::vector<LinkConfig> hops = effective_hops();
+
+  double work = 0.0;
+  if (facility_mode()) {
+    const Topology topo(topology_preset(topology));
+    for (const TenantSpec& tenant : tenants) {
+      const int clients_per_s = tenant.concurrency > 0 ? tenant.concurrency : concurrency;
+      const double size = tenant.transfer_size.bytes() > 0.0 ? tenant.transfer_size.bytes()
+                                                             : transfer_size.bytes();
+      const std::size_t route_hops =
+          topo.route_indices(tenant.src.empty() ? topo.config().source : tenant.src,
+                             tenant.dst.empty() ? topo.config().sink : tenant.dst)
+              .size();
+      work += clients_per_s * seconds * hop_packets(size, route_hops);
+    }
+  } else {
+    work += concurrency * seconds * hop_packets(transfer_size.bytes(), hops.size());
+  }
+  // Background load rides the canonical route for the spawn window; hop
+  // cross traffic crosses its one hop for its own window.  The estimate
+  // runs before validate(), so an out-of-range hop is skipped here and
+  // rejected when the cell runs.
+  work += hop_packets(background_load * bottleneck_capacity().bps() * seconds, hops.size());
+  for (const HopCrossTraffic& x : hop_cross_traffic) {
+    if (x.hop < 0 || static_cast<std::size_t>(x.hop) >= hops.size()) continue;
+    const double window = std::max(0.0, x.until.seconds() - x.start.seconds());
+    work += hop_packets(x.load * hops[static_cast<std::size_t>(x.hop)].capacity.bps() * window,
+                        1);
+  }
+  return work;
+}
+
 units::Seconds WorkloadConfig::theoretical_transfer_time() const {
   return transfer_size / bottleneck_capacity();
 }

@@ -182,6 +182,14 @@ struct WorkloadConfig {
   // Offered load as a fraction of the bottleneck capacity (concurrency x
   // size per second over capacity).
   [[nodiscard]] double offered_load() const;
+  // Estimated simulation work in hop-packets: for each client population
+  // (the config itself, or each tenant with its inherited knobs), arrivals
+  // (concurrency x duration) x packets per transfer x route hops x 2 for
+  // the data and ACK directions, plus background and hop cross-traffic
+  // bytes in the same unit.  Pure and cheap (no simulation); it tracks the
+  // packet engine's events_processed, and scenario::SweepExecutor uses it
+  // to dispatch the heaviest cells first.
+  [[nodiscard]] double estimated_work() const;
   // Ideal transfer time for one client at full bottleneck rate — the
   // paper's T_theoretical (0.16 s for 0.5 GB at 25 Gbps).
   [[nodiscard]] units::Seconds theoretical_transfer_time() const;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/manifest.hpp"
+#include "trace/json.hpp"
 
 namespace sss::obs {
 namespace {
@@ -26,6 +27,7 @@ CellMetrics cell(std::size_t index, const std::string& label, double wall_ms) {
   c.arena_reserved_bytes = 1 << 20;
   c.sim_duration_s = 1.25;
   c.wall_ms = wall_ms;
+  c.start_ms = 10.0 * static_cast<double>(index);
   return c;
 }
 
@@ -57,6 +59,25 @@ TEST(Manifest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(after.cells[1].arena_reserved_bytes, 1u << 20);
   EXPECT_EQ(after.cells[1].sim_duration_s, 1.25);
   EXPECT_EQ(after.cells[1].wall_ms, 40.25);
+  EXPECT_EQ(after.cells[1].start_ms, before.cells[1].start_ms);
+}
+
+TEST(Manifest, StartOffsetIsTimingAndOptionalOnRead) {
+  RunManifest m = manifest_with({cell(0, "a", 1.0)}, 1);
+  m.cells[0].start_ms = 12.5;
+  const std::string text = m.to_json_text();
+  const trace::JsonValue doc = trace::JsonValue::parse(text);
+  const trace::JsonValue& c = doc.at("cells").as_array().front();
+  EXPECT_EQ(c.at("timing").at("start_ms").as_double(), 12.5);
+  EXPECT_EQ(c.at("deterministic").find("start_ms"), nullptr);
+
+  // A manifest written before start offsets existed still loads.
+  std::string old_text = text;
+  const std::string key = "\"start_ms\": 12.5,";
+  const std::size_t at = old_text.find(key);
+  ASSERT_NE(at, std::string::npos) << text;
+  old_text.erase(at, key.size());
+  EXPECT_EQ(RunManifest::from_json_text(old_text).cells[0].start_ms, 0.0);
 }
 
 TEST(Manifest, TextExportIsByteStable) {
@@ -78,9 +99,15 @@ TEST(Manifest, MergeSortsShardsByGlobalIndex) {
   // Shard 1 first on purpose: merge must re-sort by global index.
   const RunManifest shard1 = manifest_with({cell(2, "c", 3.0), cell(3, "d", 4.0)}, 4);
   const RunManifest shard0 = manifest_with({cell(0, "a", 1.0), cell(1, "b", 2.0)}, 4);
-  const RunManifest merged = merge_manifests({shard1, shard0});
+  // Start offsets ride through the text form and the merge.
+  const RunManifest merged =
+      merge_manifests({RunManifest::from_json_text(shard1.to_json_text()),
+                       RunManifest::from_json_text(shard0.to_json_text())});
   ASSERT_EQ(merged.cells.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(merged.cells[i].index, i);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(merged.cells[i].index, i);
+    EXPECT_EQ(merged.cells[i].start_ms, 10.0 * static_cast<double>(i));
+  }
   EXPECT_EQ(merged.total_cells, 4u);
   EXPECT_EQ(merged.scenario, "hop_bottleneck_sweep");
 }
@@ -112,6 +139,24 @@ TEST(Manifest, CostReportRanksSlowestFirst) {
   const auto top2 = cost_report_rows(m, 2);
   ASSERT_EQ(top2.size(), 2u);
   EXPECT_EQ(top2[0][2], "slow");
+}
+
+TEST(Manifest, GridUtilizationIsBusyTimeOverThreadsTimesSpan) {
+  // Two threads: one runs a (0-60 ms) then b (60-100 ms), the other runs c
+  // (0-50 ms) and idles for the last 50 ms.
+  RunManifest m = manifest_with({cell(0, "a", 60.0), cell(1, "b", 40.0), cell(2, "c", 50.0)}, 3);
+  m.cells[0].start_ms = 0.0;
+  m.cells[1].start_ms = 60.0;
+  m.cells[2].start_ms = 0.0;
+  const GridUtilization u = grid_utilization(m);
+  EXPECT_EQ(u.threads, 2u);  // b starts as a ends: still two in flight
+  EXPECT_DOUBLE_EQ(u.busy_ms, 150.0);
+  EXPECT_DOUBLE_EQ(u.span_ms, 100.0);
+  EXPECT_DOUBLE_EQ(u.busy_share, 0.75);
+  EXPECT_EQ(busy_share_line(m),
+            "busy share 0.750: 150.000 ms of cell work on 2 threads over a 100.000 ms span");
+
+  EXPECT_EQ(grid_utilization(manifest_with({}, 0)).busy_share, 0.0);
 }
 
 TEST(Manifest, FromJsonRejectsUnknownSchema) {

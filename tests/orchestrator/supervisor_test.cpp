@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -114,13 +115,31 @@ TEST_F(SupervisorTest, TruncatedArtifactIsRejectedAndRetried) {
 }
 
 TEST_F(SupervisorTest, HungWorkerIsKilledAtTheDeadlineAndRetried) {
+  // The deadline scales with the host: timeout_factor x the measured wall
+  // time of a clean run of the same sweep, which bounds every clean shard
+  // attempt from above.  A slow (e.g. sanitized) build gets a
+  // proportionally longer deadline, so only the hung attempt overruns it.
+  OrchestratorConfig clean = base_config();
+  clean.workdir = (dir_ / "clean").string();
+  const auto clean_start = std::chrono::steady_clock::now();
+  ASSERT_EQ(orchestrate(clean).exit_code, 0);
+  const double clean_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - clean_start).count();
+
   arm_fault();
   OrchestratorConfig config = base_config();
   config.worker_args = {"--inject-fault", "hang@cell=2"};
-  config.timeout_s = 1.5;
+  config.timeout_s = config.timeout_factor * clean_s;
   const OrchestratorReport report = orchestrate(config);
   EXPECT_EQ(report.exit_code, 0);
   EXPECT_EQ(read_file(report.merged_csv), read_file(kGolden));
+  // The hung attempt was killed at the deadline (journaled as such) and
+  // its shard relaunched.
+  int total_attempts = 0;
+  for (const ShardOutcome& shard : report.shards) total_attempts += shard.attempts;
+  EXPECT_GT(total_attempts, static_cast<int>(report.shards.size()));
+  EXPECT_NE(read_file(config.workdir + "/ledger.jsonl").find("deadline exceeded"),
+            std::string::npos);
 }
 
 TEST_F(SupervisorTest, ExhaustedShardDegradesToPartialMergeWithReport) {

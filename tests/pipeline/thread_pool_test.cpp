@@ -1,10 +1,13 @@
 // Tests for the thread pool: submission, futures, parallel_for coverage,
-// exception propagation, shutdown semantics.
+// one-index claims, exception propagation, shutdown semantics.
 #include "pipeline/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -60,6 +63,55 @@ TEST(ThreadPool, ParallelForEmptyAndSingleRanges) {
     ++one;
   });
   EXPECT_EQ(one.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForClaimsIndicesInAscendingOrder) {
+  ThreadPool pool(1);
+  std::vector<std::size_t> seen;
+  pool.parallel_for(3, 40, [&](std::size_t i) { seen.push_back(i); });
+  std::vector<std::size_t> want(37);
+  std::iota(want.begin(), want.end(), std::size_t{3});
+  EXPECT_EQ(seen, want);
+}
+
+TEST(ThreadPool, ParallelForSlowIndexDoesNotHoldOthersBehindIt) {
+  // Index 0 blocks until every other index has finished.  With one index
+  // per claim the second worker drains 1..63 meanwhile; a pool that handed
+  // out contiguous chunks would park 1..k behind index 0 and time out.
+  ThreadPool pool(2);
+  constexpr std::size_t kCount = 64;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t others_done = 0;
+  bool released = false;
+  pool.parallel_for(0, kCount, [&](std::size_t i) {
+    std::unique_lock lock(mu);
+    if (i == 0) {
+      released = cv.wait_for(lock, std::chrono::seconds(30),
+                             [&] { return others_done == kCount - 1; });
+      return;
+    }
+    ++others_done;
+    cv.notify_all();
+  });
+  EXPECT_TRUE(released);
+  EXPECT_EQ(others_done, kCount - 1);
+}
+
+TEST(ThreadPool, ParallelForRethrowsOnlyAfterEveryWorkerStopped) {
+  // The throwing worker stops; the others drain the rest of the range
+  // before the exception reaches the caller, so no fn(i) runs after
+  // parallel_for has returned.
+  ThreadPool pool(4);
+  std::atomic<int> calls{0};
+  EXPECT_THROW(pool.parallel_for(0, 100,
+                                 [&](std::size_t i) {
+                                   if (i == 0) throw std::runtime_error("cell 0");
+                                   std::this_thread::sleep_for(std::chrono::microseconds(50));
+                                   ++calls;
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(calls.load(), 99);
 }
 
 TEST(ThreadPool, ParallelForActuallyUsesMultipleThreads) {
