@@ -5,7 +5,10 @@
 // link drains, typed-event workload orchestration) is only admissible if it
 // changes NOTHING observable: the five topology scenarios at scale 0.1 /
 // seed 42 must serialize to exactly the CSV bytes recorded before the
-// rework (tests/data/topology_golden/).  Each scenario runs in-process,
+// rework (tests/data/topology_golden/).  Three more scenarios pin the
+// paths the single packet engine took over: scheduled spawning
+// (fig2b_scheduled, burst_mode_detector) and end-to-end background load
+// (multi_tenant_storm).  Each scenario runs in-process,
 // serializes through the same trace::CsvWriter the scenario_runner CLI
 // uses, and the result is compared byte-for-byte against the committed
 // golden file.  Any drift in event order, float arithmetic, or formatting
@@ -28,10 +31,13 @@ namespace sss::scenario {
 namespace {
 
 const char* const kScenarios[] = {
+    "burst_mode_detector",
     "dtn_nic_undersizing",
+    "fig2b_scheduled",
     "hop_bottleneck_sweep",
     "lcls_streaming_feasibility",
     "moving_bottleneck",
+    "multi_tenant_storm",
     "wan_cross_traffic",
 };
 
