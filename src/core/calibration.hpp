@@ -4,11 +4,13 @@
 // controlled congestion experiments: run the orchestrator at several load
 // levels, take the maximum client transfer time per level as T_worst, and
 // form the Streaming Speed Score against the theoretical minimum.  This
-// module packages those steps:
+// module packages the first steps:
 //
 //   sweep results --> CongestionProfile (utilization -> SSS curve)
 //                 --> worst-case transfer predictions for other unit sizes
-//                 --> alpha / theta estimates --> ModelParameters
+//
+// Fitting alpha/theta into ModelParameters from per-transfer traces lives
+// in core/fitting.hpp.
 //
 // The case study (Section 5) extrapolates exactly this way: measured SSS at
 // 64 % / 96 % utilization scales the 2 GB and 3 GB windows to 1.2 s and 6 s
@@ -17,10 +19,7 @@
 
 #include <vector>
 
-#include "core/params.hpp"
-#include "core/sss_score.hpp"
 #include "simnet/workload.hpp"
-#include "storage/staged_transfer.hpp"
 #include "units/units.hpp"
 
 namespace sss::core {
@@ -78,35 +77,5 @@ class CongestionProfile {
 // One profile point per experiment (keyed by offered load).
 [[nodiscard]] CongestionProfile build_congestion_profile(
     const std::vector<simnet::ExperimentResult>& results);
-
-// alpha estimate from one uncongested experiment: theoretical transfer time
-// over the MEAN measured client time (efficiency of the happy path).
-[[nodiscard]] double estimate_alpha(const simnet::ExperimentResult& result);
-
-// Worst-case-oriented alpha: theoretical over the MAX measured client time.
-// This is the value a tail-driven design should plug into Eq. 10.
-[[nodiscard]] double estimate_alpha_worst_case(const simnet::ExperimentResult& result);
-
-// Assemble ModelParameters from measurement artifacts: a congestion sweep
-// (for alpha at the operating utilization), a staged-transfer calibration
-// (for the file-based theta), and explicit compute/workload figures.
-struct CalibrationInputs {
-  const std::vector<simnet::ExperimentResult>* sweep = nullptr;  // required
-  double operating_utilization = 0.5;
-  units::Bytes s_unit = units::Bytes::gigabytes(1.0);
-  units::Complexity complexity = units::Complexity::flop_per_byte(1.0);
-  units::FlopsRate r_local = units::FlopsRate::teraflops(1.0);
-  units::FlopsRate r_remote = units::FlopsRate::teraflops(10.0);
-  units::DataRate bandwidth = units::DataRate::gigabits_per_second(25.0);
-};
-
-struct CalibrationResult {
-  ModelParameters params;        // theta = 1 (streaming)
-  double theta_file = 1.0;       // from storage calibration when requested
-  CongestionProfile profile;
-  units::Seconds predicted_worst_transfer;  // at operating utilization
-};
-
-[[nodiscard]] CalibrationResult calibrate(const CalibrationInputs& inputs);
 
 }  // namespace sss::core

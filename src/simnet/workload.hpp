@@ -17,11 +17,16 @@
 // sub-second and fractional durations spawn the exact pro-rata client
 // count), or a Poisson process at `concurrency` arrivals per second.
 //
-// Transfers run over a multi-hop Path (instrument -> DTN -> WAN -> HPC)
-// when `path_hops` is set; an empty `path_hops` uses the single `link`
-// bottleneck, bit-identical to the pre-topology simulator.  Per-hop
-// cross-traffic windows (`hop_cross_traffic`) let scenarios shift the
-// saturating hop mid-run.
+// Every config runs as the same kind of world: one live Link per network
+// edge (plus a reverse ACK twin), client populations routed over those
+// shared links, and an optional TransferScheduler gating admission.  With
+// `tenants` the edges are the `topology` preset's graph and each tenant
+// routes between its own endpoints; without, the edges are the chain of
+// effective_hops() (the preset's canonical route, else `path_hops`, else
+// the single `link`) carrying one default tenant.  kScheduled runs as a
+// one-slot FIFO admission queue over the slot-time arrivals.  Background
+// load rides the canonical route end to end; per-hop cross-traffic windows
+// (`hop_cross_traffic`) let scenarios shift the saturating hop mid-run.
 //
 // `WorkloadConfig::paper_table2` transcribes Table 2 (duration 10 s,
 // concurrency 1-8, parallel flows {2,4,8}, 0.5 GB per client, 25 Gbps link,
@@ -158,10 +163,10 @@ struct WorkloadConfig {
   // edge), so flows crossing the same hop contend on the same queue.
   // Mutually exclusive with path_hops.
   std::string topology;
-  // Facility tenants (requires `topology`).  Non-empty switches the
-  // orchestrator to per-tenant routing: each tenant spawns its own client
-  // population (inheriting unset knobs from this config) between its
-  // (src, dst) topology nodes.
+  // Facility tenants (requires `topology`).  Each tenant spawns its own
+  // client population (inheriting unset knobs from this config) between its
+  // (src, dst) topology nodes.  Empty = one default tenant over
+  // effective_hops().
   std::vector<TenantSpec> tenants;
   // Admission scheduling for facility mode (policy kNone = transfers start
   // at their arrival instants, the classic behaviour).
@@ -239,13 +244,13 @@ struct TimelineProbe {
 
 // One experiment cell with an owned allocation arena.
 //
-// The entire simulated world — event queue, paths, links, ring buffers,
-// TcpFlow objects, scoreboard bitmaps, orchestrator bookkeeping — is
-// bump-allocated from the cell's Arena during prepare() and freed wholesale
-// afterwards (destructors run; memory release is one reset()).  Because the
-// Arena retains its chunks across reset, re-running the same cell touches
-// the heap zero times after the first run: drive() is allocation-free
-// (pinned by tests/simnet/alloc_free_test.cpp).
+// The entire simulated world — event queue, links, routed paths, ring
+// buffers, TcpFlow objects, scoreboard bitmaps, the admission scheduler and
+// orchestrator bookkeeping — is bump-allocated from the cell's Arena during
+// prepare() and freed wholesale afterwards (destructors run; memory release
+// is one reset()).  Because the Arena retains its chunks across reset,
+// re-running the same cell touches the heap zero times after the first run:
+// drive() is allocation-free (pinned by tests/simnet/alloc_free_test.cpp).
 //
 // Lifecycle: prepare() builds the world, drive() runs it to the drain
 // deadline, finish() collects metrics (finish allocates ordinary
@@ -277,12 +282,6 @@ class Workload {
 
  private:
   struct Cell;
-
-  // prepare() halves: the legacy single-route world (owning forward/reverse
-  // Paths) and the facility world (shared live links + per-tenant routes +
-  // admission scheduler).
-  void prepare_legacy(Cell& cell);
-  void prepare_facility(Cell& cell);
 
   WorkloadConfig config_;
   Arena arena_;

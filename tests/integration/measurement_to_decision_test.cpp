@@ -4,6 +4,7 @@
 
 #include "core/calibration.hpp"
 #include "core/decision.hpp"
+#include "core/fitting.hpp"
 #include "core/report.hpp"
 #include "core/sss_score.hpp"
 #include "simnet/workload.hpp"
@@ -77,17 +78,36 @@ TEST_F(MeasurementToDecision, ProfileFeedsDecision) {
 }
 
 TEST_F(MeasurementToDecision, CalibrationProducesUsableParameters) {
-  core::CalibrationInputs in;
-  in.sweep = sweep_;
-  in.operating_utilization = 0.5;
-  in.s_unit = units::Bytes::megabytes(40.0);
-  in.complexity = units::Complexity::flop_per_byte(100.0);
-  in.r_local = units::FlopsRate::gigaflops(10.0);
-  in.r_remote = units::FlopsRate::gigaflops(100.0);
-  in.bandwidth = units::DataRate::gigabits_per_second(2.5);
+  // The sweep's per-client records are a transfer trace: one record per
+  // client, bucketed by the cell's offered load.  Simulated transfers are
+  // pure streaming, so no time is staging overhead.
+  std::vector<core::TransferRecord> trace;
+  for (const simnet::ExperimentResult& cell : *sweep_) {
+    for (const simnet::ClientRecord& client : cell.metrics.clients) {
+      core::TransferRecord record;
+      record.transfer_id = trace.size();
+      record.load_level = cell.offered_load;
+      record.start_s = client.start_s;
+      record.end_s = client.end_s;
+      record.bytes = client.bytes;
+      record.link_gbps = cell.config.bottleneck_capacity().gbit_per_s();
+      record.io_s = 0.0;
+      trace.push_back(record);
+    }
+  }
 
-  const core::CalibrationResult calibrated = core::calibrate(in);
-  const core::Evaluation ev = core::evaluate(core::DecisionInput{calibrated.params});
+  core::TraceCalibrationOptions options;
+  options.operating_utilization = 0.5;
+  options.complexity = units::Complexity::flop_per_byte(100.0);
+  options.r_local = units::FlopsRate::gigaflops(10.0);
+  options.r_remote = units::FlopsRate::gigaflops(100.0);
+
+  const core::TraceCalibration calibrated = core::calibrate_transfer_trace(trace, options);
+  EXPECT_EQ(calibrated.points.size(), sweep_->size());
+  EXPECT_DOUBLE_EQ(calibrated.params.theta, 1.0);
+  core::DecisionInput input;
+  input.params = calibrated.params;
+  const core::Evaluation ev = core::evaluate(input);
   EXPECT_GT(ev.gain_streaming, 0.0);
 
   // The whole thing renders into a report without throwing.

@@ -6,8 +6,8 @@
 //   2. DETERMINISM: the facility sweep is byte-identical at 1 and N
 //      executor threads (per-cell RNG streams, no cross-cell state).
 //   3. DIFFERENTIAL: a single-tenant facility run over a chain topology
-//      reproduces the legacy path_hops simulator client-for-client — the
-//      facility machinery is a strict superset, not a fork.
+//      and the same chain given as path_hops normalise to the same world
+//      and match client-for-client.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -76,26 +76,26 @@ TEST(FacilityScenarios, FairShareImprovesWorstTenantP99OverFifoAndRunsAreThreadC
       << "fair-share should improve Jain fairness";
 }
 
-// The chain differential: one tenant, no admission policy, topology
-// "aps_to_alcf" (a pure chain) must reproduce the legacy path_hops run
-// exactly — same clients, same timings, same hop counters, same event
-// count.  This is what lets every existing golden stay valid.
+// The chain differential: a path_hops chain (no tenants, so one default
+// tenant over the chain's edges) and topology "aps_to_alcf" (a pure chain)
+// plus one all-defaults tenant must normalise to the same world: same
+// clients, same timings, same hop counters, same event count.
 TEST(FacilityScenarios, SingleTenantFacilityMatchesLegacyPathHopsExactly) {
-  simnet::WorkloadConfig legacy;
-  legacy.duration = units::Seconds::of(2.0);
-  legacy.concurrency = 2;
-  legacy.parallel_flows = 2;
-  legacy.transfer_size = units::Bytes::megabytes(64.0);
-  legacy.mode = simnet::SpawnMode::kSimultaneousBatches;
-  legacy.seed = 7;
-  legacy.path_hops = simnet::Topology(simnet::topology_preset("aps_to_alcf")).canonical_route();
+  simnet::WorkloadConfig chain;
+  chain.duration = units::Seconds::of(2.0);
+  chain.concurrency = 2;
+  chain.parallel_flows = 2;
+  chain.transfer_size = units::Bytes::megabytes(64.0);
+  chain.mode = simnet::SpawnMode::kSimultaneousBatches;
+  chain.seed = 7;
+  chain.path_hops = simnet::Topology(simnet::topology_preset("aps_to_alcf")).canonical_route();
 
-  simnet::WorkloadConfig facility = legacy;
+  simnet::WorkloadConfig facility = chain;
   facility.path_hops.clear();
   facility.topology = "aps_to_alcf";
   facility.tenants.push_back(simnet::TenantSpec{});  // all-defaults tenant
 
-  const simnet::ExperimentResult a = simnet::run_experiment(legacy);
+  const simnet::ExperimentResult a = simnet::run_experiment(chain);
   const simnet::ExperimentResult b = simnet::run_experiment(facility);
 
   EXPECT_EQ(a.events_processed, b.events_processed);
