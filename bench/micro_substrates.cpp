@@ -1,6 +1,7 @@
 // micro_substrates — google-benchmark microbenchmarks for the hot paths of
 // every substrate: event queue, packet link, full TCP transfers, the fluid
-// model, statistics (P2, checksum), and model evaluation.  These document
+// model, statistics (P2, checksum), model evaluation, and the decide
+// server's per-request decide + response encode.  These document
 // the simulator's capacity (events/second) that makes the full Table-2
 // sweep tractable.
 #include <benchmark/benchmark.h>
@@ -9,6 +10,9 @@
 #include "core/decision.hpp"
 #include "detector/frame.hpp"
 #include "pipeline/spsc_queue.hpp"
+#include "serve/decide.hpp"
+#include "serve/protocol.hpp"
+#include "serve/registry.hpp"
 #include "simnet/fluid.hpp"
 #include "simnet/link.hpp"
 #include "simnet/workload.hpp"
@@ -227,6 +231,69 @@ void BM_ModelEvaluation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ModelEvaluation);
+
+// One served facility with a three-point SSS curve, and a request mix over
+// the operating point, in-range and out-of-range utilizations and 0-4 hops.
+serve::ServiceSnapshot serve_snapshot() {
+  serve::FacilityProfile facility;
+  facility.name = "aps";
+  facility.params.alpha = 0.85;
+  facility.params.theta = 1.25;
+  facility.params.bandwidth = units::DataRate::bytes_per_second(3.125e9);
+  facility.params.s_unit = units::Bytes::of(5.0e8);
+  std::vector<core::CongestionPoint> points;
+  for (const auto& [u, sss] : {std::pair{0.16, 2.0}, std::pair{0.64, 3.6}, std::pair{0.96, 4.6}}) {
+    core::CongestionPoint point;
+    point.utilization = u;
+    point.sss = sss;
+    points.push_back(point);
+  }
+  facility.profile = core::CongestionProfile(std::move(points));
+  std::vector<serve::FacilityProfile> profiles;
+  profiles.push_back(std::move(facility));
+  return serve::ServiceSnapshot(1, std::move(profiles));
+}
+
+std::vector<serve::DecideRequest> serve_requests() {
+  std::vector<serve::DecideRequest> requests;
+  const double utilizations[] = {0.0, 0.3, 0.7, 1.2};
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    serve::DecideRequest request;
+    request.facility = "aps";
+    request.transfer_size_bytes = i % 3 == 0 ? 0 : std::uint64_t{1} << (20 + 2 * i);
+    request.operating_utilization = utilizations[i % 4];
+    request.path_hops = i % 5;
+    requests.push_back(request);
+  }
+  return requests;
+}
+
+void BM_ServeDecide(benchmark::State& state) {
+  const serve::ServiceSnapshot snapshot = serve_snapshot();
+  const std::vector<serve::DecideRequest> requests = serve_requests();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::decide(snapshot, requests[i++ % requests.size()]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServeDecide);
+
+void BM_ServeEncodeResponse(benchmark::State& state) {
+  const serve::DecideResponse response =
+      serve::decide(serve_snapshot(), serve_requests()[1]);
+  std::string out;
+  out.reserve(serve::kHeaderSize + serve::kDecideResponseSize);
+  for (auto _ : state) {
+    out.clear();
+    serve::append_decide_response(out, response);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(serve::kHeaderSize + serve::kDecideResponseSize));
+}
+BENCHMARK(BM_ServeEncodeResponse);
 
 }  // namespace
 

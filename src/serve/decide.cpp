@@ -53,13 +53,15 @@ DecideResponse decide(const ServiceSnapshot& snapshot, const DecideRequest& requ
   // the path (with_contended_path), so a 4-hop request sees a slower
   // effective rate than the 1-hop calibration and the local <-> stream
   // boundary moves accordingly.  0 (or 1) means "the calibrated path".
+  // The path is `hops` links of the calibrated bandwidth, and
+  // with_contended_path reads only its bottleneck and hop count, so the
+  // profile is built directly rather than from a hop chain.
   const std::uint32_t hops = std::max<std::uint32_t>(request.path_hops, 1);
   if (hops > 1) {
-    const std::vector<simnet::LinkConfig> chain(
-        hops, simnet::LinkConfig{"hop", params.bandwidth,
-                                 units::Seconds::millis(8.0) / static_cast<double>(hops),
-                                 units::Bytes::megabytes(50.0)});
-    params = core::with_contended_path(params, core::profile_path(chain));
+    core::PathProfile path;
+    path.bottleneck_bandwidth = params.bandwidth;
+    path.hop_count = hops;
+    params = core::with_contended_path(params, path);
   }
 
   // The paper's central recommendation: judge feasibility on the measured

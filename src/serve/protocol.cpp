@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -55,21 +56,49 @@ const char* to_string(WireDecision decision) {
 
 // --- little-endian primitives ----------------------------------------------
 
+namespace {
+
+// Explicit little-endian stores into a caller's buffer.  The compiler merges
+// each into one native store on a little-endian host; the byte order on the
+// wire stays fixed on any host.
+void store_u16(unsigned char* p, std::uint16_t v) {
+  p[0] = static_cast<unsigned char>(v);
+  p[1] = static_cast<unsigned char>(v >> 8);
+}
+
+void store_u32(unsigned char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
+void store_u64(unsigned char* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
+void store_f64(unsigned char* p, double v) { store_u64(p, std::bit_cast<std::uint64_t>(v)); }
+
+template <std::size_t N>
+void append_bytes(std::string& out, const unsigned char (&bytes)[N]) {
+  out.append(reinterpret_cast<const char*>(bytes), N);
+}
+
+}  // namespace
+
 void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
+  unsigned char bytes[2];
+  store_u16(bytes, v);
+  append_bytes(out, bytes);
 }
 
 void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
+  unsigned char bytes[4];
+  store_u32(bytes, v);
+  append_bytes(out, bytes);
 }
 
 void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
+  unsigned char bytes[8];
+  store_u64(bytes, v);
+  append_bytes(out, bytes);
 }
 
 void put_f64(std::string& out, double v) { put_u64(out, std::bit_cast<std::uint64_t>(v)); }
@@ -92,60 +121,69 @@ double get_f64(const unsigned char* p) { return std::bit_cast<double>(get_u64(p)
 
 // --- encoding --------------------------------------------------------------
 
+// Every frame is built in a stack buffer of its exact size (the header plus
+// any fixed-size payload) and appended to `out` in one call.
+
 namespace {
 
-void append_header(std::string& out, MessageType type, std::uint32_t payload_length) {
-  put_u32(out, kMagic);
-  put_u16(out, kProtocolVersion);
-  put_u16(out, static_cast<std::uint16_t>(type));
-  put_u32(out, payload_length);
+void store_header(unsigned char* p, MessageType type, std::uint32_t payload_length) {
+  store_u32(p, kMagic);
+  store_u16(p + 4, kProtocolVersion);
+  store_u16(p + 6, static_cast<std::uint16_t>(type));
+  store_u32(p + 8, payload_length);
 }
 
 }  // namespace
 
 void append_decide_request(std::string& out, const DecideRequest& request) {
-  append_header(out, MessageType::kDecideRequest, kDecideRequestSize);
-  char name[kFacilityNameSize] = {};
-  const std::size_t n =
-      request.facility.size() < kFacilityNameSize - 1 ? request.facility.size()
-                                                      : kFacilityNameSize - 1;
-  std::memcpy(name, request.facility.data(), n);
-  out.append(name, kFacilityNameSize);
-  put_u64(out, request.transfer_size_bytes);
-  put_f64(out, request.operating_utilization);
-  put_u32(out, request.path_hops);
-  put_u32(out, 0);  // reserved
+  unsigned char frame[kHeaderSize + kDecideRequestSize] = {};  // NUL name padding, reserved 0
+  store_header(frame, MessageType::kDecideRequest, kDecideRequestSize);
+  unsigned char* p = frame + kHeaderSize;
+  std::memcpy(p, request.facility.data(),
+              std::min(request.facility.size(), kFacilityNameSize - 1));
+  store_u64(p + kFacilityNameSize, request.transfer_size_bytes);
+  store_f64(p + kFacilityNameSize + 8, request.operating_utilization);
+  store_u32(p + kFacilityNameSize + 16, request.path_hops);
+  append_bytes(out, frame);
 }
 
 void append_decide_response(std::string& out, const DecideResponse& response) {
-  append_header(out, MessageType::kDecideResponse, kDecideResponseSize);
-  put_u32(out, response.status);
-  put_u32(out, static_cast<std::uint32_t>(response.decision));
-  put_f64(out, response.t_stream_s);
-  put_f64(out, response.t_stage_s);
-  put_f64(out, response.t_local_s);
-  put_f64(out, response.t_worst_transfer_s);
-  put_f64(out, response.sss);
-  put_u64(out, response.profile_generation);
-  put_f64(out, response.operating_utilization);
-  put_u32(out, response.path_hops);
-  put_u32(out, response.flags);
+  unsigned char frame[kHeaderSize + kDecideResponseSize];
+  store_header(frame, MessageType::kDecideResponse, kDecideResponseSize);
+  unsigned char* p = frame + kHeaderSize;
+  store_u32(p, response.status);
+  store_u32(p + 4, static_cast<std::uint32_t>(response.decision));
+  store_f64(p + 8, response.t_stream_s);
+  store_f64(p + 16, response.t_stage_s);
+  store_f64(p + 24, response.t_local_s);
+  store_f64(p + 32, response.t_worst_transfer_s);
+  store_f64(p + 40, response.sss);
+  store_u64(p + 48, response.profile_generation);
+  store_f64(p + 56, response.operating_utilization);
+  store_u32(p + 64, response.path_hops);
+  store_u32(p + 68, response.flags);
+  append_bytes(out, frame);
 }
 
 void append_stats_request(std::string& out) {
-  append_header(out, MessageType::kStatsRequest, 0);
+  unsigned char frame[kHeaderSize];
+  store_header(frame, MessageType::kStatsRequest, 0);
+  append_bytes(out, frame);
 }
 
 void append_stats_response(std::string& out, std::string_view json) {
-  append_header(out, MessageType::kStatsResponse,
-                static_cast<std::uint32_t>(json.size()));
+  unsigned char header[kHeaderSize];
+  store_header(header, MessageType::kStatsResponse, static_cast<std::uint32_t>(json.size()));
+  append_bytes(out, header);
   out.append(json);
 }
 
 void append_error_response(std::string& out, ErrorCode code, std::string_view message) {
-  append_header(out, MessageType::kErrorResponse,
-                static_cast<std::uint32_t>(4 + message.size()));
-  put_u32(out, static_cast<std::uint32_t>(code));
+  unsigned char head[kHeaderSize + 4];
+  store_header(head, MessageType::kErrorResponse,
+               static_cast<std::uint32_t>(4 + message.size()));
+  store_u32(head + kHeaderSize, static_cast<std::uint32_t>(code));
+  append_bytes(out, head);
   out.append(message);
 }
 
@@ -160,24 +198,29 @@ MessageHeader decode_header(const unsigned char* bytes) {
   return header;
 }
 
-std::optional<DecideRequest> decode_decide_request(const unsigned char* payload,
-                                                   std::size_t size) {
-  if (size != kDecideRequestSize) return std::nullopt;
-  DecideRequest request;
+bool decode_decide_request(const unsigned char* payload, std::size_t size,
+                           DecideRequest& request) {
+  if (size != kDecideRequestSize) return false;
   // Facility: NUL-padded; the name is the bytes before the first NUL, and
   // every byte after it must also be NUL (rejects garbage in the padding).
   std::size_t name_end = 0;
   while (name_end < kFacilityNameSize && payload[name_end] != 0) ++name_end;
-  if (name_end == kFacilityNameSize) return std::nullopt;  // missing terminator
+  if (name_end == kFacilityNameSize) return false;  // missing terminator
   for (std::size_t i = name_end; i < kFacilityNameSize; ++i) {
-    if (payload[i] != 0) return std::nullopt;
+    if (payload[i] != 0) return false;
   }
+  if (get_u32(payload + kFacilityNameSize + 20) != 0) return false;  // reserved
   request.facility.assign(reinterpret_cast<const char*>(payload), name_end);
   request.transfer_size_bytes = get_u64(payload + kFacilityNameSize);
   request.operating_utilization = get_f64(payload + kFacilityNameSize + 8);
   request.path_hops = get_u32(payload + kFacilityNameSize + 16);
-  const std::uint32_t reserved = get_u32(payload + kFacilityNameSize + 20);
-  if (reserved != 0) return std::nullopt;
+  return true;
+}
+
+std::optional<DecideRequest> decode_decide_request(const unsigned char* payload,
+                                                   std::size_t size) {
+  DecideRequest request;
+  if (!decode_decide_request(payload, size, request)) return std::nullopt;
   return request;
 }
 

@@ -132,6 +132,8 @@ struct ErrorResponse {
 };
 
 // --- little-endian primitives (exposed for tests/fuzzing) ------------------
+// The encoders below store into fixed-size stack frames; put_* appends one
+// value to a string for hand-built (e.g. deliberately malformed) frames.
 
 void put_u16(std::string& out, std::uint16_t v);
 void put_u32(std::string& out, std::uint32_t v);
@@ -147,7 +149,8 @@ void put_f64(std::string& out, double v);
 // Each append_* writes one complete frame (header + payload) onto `out`
 // (append, not replace — writers coalesce many frames into one buffer and
 // flush with a single write(2), which is what keeps the loopback hot path
-// at >100k frames/s on one core).
+// at >100k frames/s on one core).  A fixed-size frame is one append of a
+// stack buffer; with enough capacity reserved, no append allocates.
 void append_decide_request(std::string& out, const DecideRequest& request);
 void append_decide_response(std::string& out, const DecideResponse& response);
 void append_stats_request(std::string& out);
@@ -164,6 +167,12 @@ void append_error_response(std::string& out, ErrorCode code, std::string_view me
 // of that type (wrong size, embedded NUL rules violated, reserved != 0).
 [[nodiscard]] std::optional<DecideRequest> decode_decide_request(
     const unsigned char* payload, std::size_t size);
+// The same decode into a caller-owned request, whose facility string keeps
+// its capacity across calls: a server reusing one request object decodes
+// without touching the heap, even for names past the string's inline
+// capacity.  Returns false (leaving `request` unchanged) on an invalid payload.
+[[nodiscard]] bool decode_decide_request(const unsigned char* payload, std::size_t size,
+                                         DecideRequest& request);
 [[nodiscard]] std::optional<DecideResponse> decode_decide_response(
     const unsigned char* payload, std::size_t size);
 [[nodiscard]] std::optional<ErrorResponse> decode_error_response(

@@ -144,7 +144,7 @@ ServiceSnapshot::ServiceSnapshot(std::uint64_t generation,
   }
 }
 
-const FacilityProfile* ServiceSnapshot::find(const std::string& name) const {
+const FacilityProfile* ServiceSnapshot::find(std::string_view name) const {
   const auto it = by_name_.find(name);
   return it == by_name_.end() ? nullptr : &profiles_[it->second];
 }

@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/calibration.hpp"
@@ -65,8 +66,9 @@ class ServiceSnapshot {
 
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
   [[nodiscard]] const std::vector<FacilityProfile>& profiles() const { return profiles_; }
-  // nullptr when the facility is unknown.
-  [[nodiscard]] const FacilityProfile* find(const std::string& name) const;
+  // nullptr when the facility is unknown.  The map's transparent comparator
+  // looks `name` up in place, without building a std::string.
+  [[nodiscard]] const FacilityProfile* find(std::string_view name) const;
   [[nodiscard]] bool empty() const { return profiles_.empty(); }
 
  private:

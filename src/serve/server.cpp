@@ -54,6 +54,7 @@ struct DecideServer::Worker {
     bool want_write = false;  // EPOLLOUT currently armed
   };
   std::unordered_map<int, Connection> connections;
+  DecideRequest scratch_request;  // decode target; keeps its capacity across requests
 
   ~Worker() {
     if (epoll_fd >= 0) ::close(epoll_fd);
@@ -142,77 +143,80 @@ struct DecideServer::Worker {
 
   // Decode + answer every complete frame currently buffered.  `snapshot`
   // is pinned by the caller for the whole batch, so one read burst sees
-  // one consistent generation.
+  // one consistent generation.  Request counts are tallied locally and
+  // published to the shared counters once per burst (and before a stats
+  // frame is answered, so its JSON counts every frame ahead of it).
   void process_frames(Connection& conn, const ServiceSnapshot& snapshot) {
-    while (true) {
+    // Room for every buffered byte to be a decide request answered in full.
+    conn.out.reserve(conn.out.size() + conn.reader.buffered() /
+                                           (kHeaderSize + kDecideRequestSize) *
+                                           (kHeaderSize + kDecideResponseSize));
+    std::uint64_t requests = 0, decides = 0, request_errors = 0;
+    const auto publish = [&] {
+      stats.requests.fetch_add(requests, std::memory_order_relaxed);
+      stats.decides.fetch_add(decides, std::memory_order_relaxed);
+      stats.request_errors.fetch_add(request_errors, std::memory_order_relaxed);
+      requests = decides = request_errors = 0;
+    };
+    // A fatal frame is answered once; the connection closes after the flush.
+    bool fatal = false;
+    const auto fail = [&](ErrorCode code) {
+      stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      append_error_response(conn.out, code, to_string(code));
+      conn.close_after_flush = true;
+      fatal = true;
+    };
+    while (!fatal) {
       const std::optional<Frame> frame = conn.reader.next();
       if (!frame.has_value()) break;
       const MessageHeader& header = frame->header;
+      ++requests;
       if (header.version != kProtocolVersion) {
-        stats.requests.fetch_add(1, std::memory_order_relaxed);
-        stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        append_error_response(conn.out, ErrorCode::kUnsupportedVersion,
-                              to_string(ErrorCode::kUnsupportedVersion));
-        conn.close_after_flush = true;
-        return;
+        fail(ErrorCode::kUnsupportedVersion);
+        break;
       }
       switch (static_cast<MessageType>(header.type)) {
         case MessageType::kDecideRequest: {
-          stats.requests.fetch_add(1, std::memory_order_relaxed);
           if (frame->payload_size != kDecideRequestSize) {
-            stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-            append_error_response(conn.out, ErrorCode::kBadLength,
-                                  to_string(ErrorCode::kBadLength));
-            conn.close_after_flush = true;
-            return;
+            fail(ErrorCode::kBadLength);
+            break;
           }
-          const std::optional<DecideRequest> request =
-              decode_decide_request(frame->payload, frame->payload_size);
-          if (!request.has_value()) {
-            stats.request_errors.fetch_add(1, std::memory_order_relaxed);
+          if (!decode_decide_request(frame->payload, frame->payload_size, scratch_request)) {
+            ++request_errors;
             append_error_response(conn.out, ErrorCode::kMalformedRequest,
                                   to_string(ErrorCode::kMalformedRequest));
-            continue;
+            break;
           }
-          const DecideResponse response = decide(snapshot, *request);
+          const DecideResponse response = decide(snapshot, scratch_request);
           if (response.status != 0) {
-            stats.request_errors.fetch_add(1, std::memory_order_relaxed);
+            ++request_errors;
           } else {
-            stats.decides.fetch_add(1, std::memory_order_relaxed);
+            ++decides;
           }
           append_decide_response(conn.out, response);
           break;
         }
         case MessageType::kStatsRequest: {
-          stats.requests.fetch_add(1, std::memory_order_relaxed);
           if (frame->payload_size != 0) {
-            stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-            append_error_response(conn.out, ErrorCode::kBadLength,
-                                  to_string(ErrorCode::kBadLength));
-            conn.close_after_flush = true;
-            return;
+            fail(ErrorCode::kBadLength);
+            break;
           }
+          publish();
           stats.stats_requests.fetch_add(1, std::memory_order_relaxed);
           append_stats_response(conn.out, server->stats_json());
           break;
         }
         default: {
-          stats.requests.fetch_add(1, std::memory_order_relaxed);
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          append_error_response(conn.out, ErrorCode::kBadType,
-                                to_string(ErrorCode::kBadType));
-          conn.close_after_flush = true;
-          return;
+          fail(ErrorCode::kBadType);
+          break;
         }
       }
     }
+    publish();
     // A structural violation (bad magic / oversized length) condemns the
     // stream: answer once, then close.
     if (conn.reader.error() != ErrorCode::kNone && !conn.close_after_flush) {
-      stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      append_error_response(conn.out, conn.reader.error(),
-                            to_string(conn.reader.error()));
-      conn.close_after_flush = true;
+      fail(conn.reader.error());
     }
   }
 

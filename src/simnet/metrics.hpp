@@ -17,8 +17,6 @@
 
 namespace sss::simnet {
 
-class Path;
-
 struct FlowRecord {
   std::uint32_t flow_id = 0;
   std::uint32_t client_id = 0;
@@ -78,8 +76,6 @@ struct HopMetrics {
 
 // Snapshot a hop's counters / utilization into a HopMetrics record.
 [[nodiscard]] HopMetrics snapshot_hop(const Link& link);
-// Snapshot every hop of a forward path, in path order.
-[[nodiscard]] std::vector<HopMetrics> snapshot_hops(const Path& path);
 
 // One CSV column group per hop: hop<i>_name, hop<i>_gbps, hop<i>_mean_util,
 // hop<i>_peak_util, hop<i>_loss, hop<i>_drops.  `hop_csv_values` pads with

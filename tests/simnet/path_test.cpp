@@ -160,13 +160,15 @@ TEST(Path, MidPathDropIsRecoveredBySender) {
 
 TEST(Path, HopCsvHeaderAndValuesAreRectangular) {
   Path path(chain3(25.0, 10.0, 40.0));
+  std::vector<HopMetrics> hops;
+  for (std::size_t i = 0; i < path.hop_count(); ++i) hops.push_back(snapshot_hop(path.hop(i)));
   const auto header = hop_csv_header(3);
-  const auto values = hop_csv_values(snapshot_hops(path), 3);
+  const auto values = hop_csv_values(hops, 3);
   ASSERT_EQ(header.size(), values.size());
   EXPECT_EQ(header.front(), "hop0_name");
   EXPECT_EQ(values.front(), "edge");
   // Padding: asking for more hops than measured fills empty cells.
-  const auto padded = hop_csv_values(snapshot_hops(path), 4);
+  const auto padded = hop_csv_values(hops, 4);
   EXPECT_EQ(padded.size(), hop_csv_header(4).size());
   EXPECT_EQ(padded.back(), "");
 }

@@ -19,9 +19,9 @@
 //                   default is to refuse: debug timings poison the
 //                   committed perf history)
 //   --check-against F  compare the guarded benches (BM_WorkloadExperiment,
-//                   BM_TcpTransfer/64) against a previously committed
-//                   BENCH_micro.json; exit 1 on a regression beyond
-//                   --tolerance
+//                   BM_TcpTransfer/64) against an earlier output of this
+//                   tool, recorded on the same host (CI: the base commit's
+//                   smoke run); exit 1 on a regression beyond --tolerance
 //   --tolerance T   allowed fractional real_time regression for
 //                   --check-against (default 0.25 = +25%)
 //
